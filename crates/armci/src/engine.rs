@@ -1225,14 +1225,15 @@ impl Engine {
                 self.send_direct(t0, req);
                 self.arm_timeout(t0, req);
             } else {
-                let d1 = self.net.send(t0, src_node, target_node, op.request_bytes());
-                let d2 = self
-                    .net
-                    .send(d1.at, target_node, src_node, op.response_bytes());
-                self.queue.schedule(d2.at, Event::ResponseArrive { req });
+                // Without a plan neither leg can be lost or corrupted.
+                let (Ok(t1) | Err(t1)) =
+                    self.transmit(|net| net.send(t0, src_node, target_node, op.request_bytes()));
+                let (Ok(t2) | Err(t2)) =
+                    self.transmit(|net| net.send(t1, target_node, src_node, op.response_bytes()));
+                self.queue.schedule(t2, Event::ResponseArrive { req });
                 if op.notify {
                     self.queue
-                        .schedule(d1.at, Event::NotifyArrive { target: op.target });
+                        .schedule(t1, Event::NotifyArrive { target: op.target });
                 }
             }
         } else {
@@ -1378,45 +1379,31 @@ impl Engine {
     /// are simply lost — the origin's timer recovers them.
     fn send_direct(&mut self, t0: SimTime, req: ReqId) {
         let r = self.requests[req as usize];
-        match self
-            .net
-            .send_faulted(t0, r.origin_node, r.target_node, r.op.request_bytes())
+        // A lost or corrupt request is discarded before the target sees it.
+        if let Ok(t1) =
+            self.transmit(|net| net.send(t0, r.origin_node, r.target_node, r.op.request_bytes()))
         {
-            SendOutcome::Dropped { .. } => {}
-            SendOutcome::Delivered(d1) => {
-                let Some(d1) = self.checksum(d1) else {
-                    return; // Corrupt request: the target discards it.
-                };
-                if r.op.notify {
-                    // Exactly-once notification across retransmissions.
-                    let fresh = self
-                        .seen
-                        .insert((r.origin.0, r.seq), DedupState::Pending)
-                        .is_none();
-                    if fresh {
-                        self.queue.schedule(
-                            d1.at,
-                            Event::NotifyArrive {
-                                target: r.op.target,
-                            },
-                        );
-                    } else {
-                        self.faults.dedup_hits += 1;
-                    }
+            if r.op.notify {
+                // Exactly-once notification across retransmissions.
+                let fresh = self
+                    .seen
+                    .insert((r.origin.0, r.seq), DedupState::Pending)
+                    .is_none();
+                if fresh {
+                    self.queue.schedule(
+                        t1,
+                        Event::NotifyArrive {
+                            target: r.op.target,
+                        },
+                    );
+                } else {
+                    self.faults.dedup_hits += 1;
                 }
-                match self.net.send_faulted(
-                    d1.at,
-                    r.target_node,
-                    r.origin_node,
-                    r.op.response_bytes(),
-                ) {
-                    SendOutcome::Dropped { .. } => {}
-                    SendOutcome::Delivered(d2) => {
-                        if self.checksum(d2).is_some() {
-                            self.queue.schedule(d2.at, Event::ResponseArrive { req });
-                        }
-                    }
-                }
+            }
+            if let Ok(t2) = self
+                .transmit(|net| net.send(t1, r.target_node, r.origin_node, r.op.response_bytes()))
+            {
+                self.queue.schedule(t2, Event::ResponseArrive { req });
             }
         }
     }
@@ -1427,24 +1414,13 @@ impl Engine {
     /// timer recovers the operation itself.
     fn send_request(&mut self, at: SimTime, req: ReqId, from: NodeId, to: NodeId) {
         let bytes = self.requests[req as usize].op.request_bytes();
-        if !self.faults_on() {
-            let d = self.net.send(at, from, to, bytes);
-            self.queue
-                .schedule(d.at, Event::RequestArrive { req, node: to });
-            return;
-        }
-        let destroyed_at = match self.net.send_faulted(at, from, to, bytes) {
-            SendOutcome::Delivered(d) => match self.checksum(d) {
-                Some(d) => {
-                    self.queue
-                        .schedule(d.at, Event::RequestArrive { req, node: to });
-                    return;
-                }
-                // A corrupt request is discarded at delivery: from the
-                // credit machinery's view the copy was destroyed then.
-                None => d.at,
-            },
-            SendOutcome::Dropped { at: drop_at, .. } => drop_at,
+        let destroyed_at = match self.transmit(|net| net.send(at, from, to, bytes)) {
+            Ok(t) => {
+                self.queue
+                    .schedule(t, Event::RequestArrive { req, node: to });
+                return;
+            }
+            Err(t) => t,
         };
         let r = self.requests[req as usize];
         self.reclaim_later(
@@ -1499,7 +1475,7 @@ impl Engine {
     /// downstream credit is exhausted (they keep their upstream buffer) and
     /// starts the first serviceable request, if any.
     fn cht_try_start(&mut self, now: SimTime, node: NodeId) {
-        if self.faults_on() && self.net.node_dead(node, now) {
+        if self.net.node_dead(node, now) {
             return;
         }
         if self.chts[node as usize].is_busy() {
@@ -1749,7 +1725,7 @@ impl Engine {
     /// buffer, restamp the members for the shared hop and put the envelope
     /// on the wire as one message.
     fn cht_env_done(&mut self, now: SimTime, node: NodeId, env: u32) {
-        if self.faults_on() && self.net.node_dead(node, now) {
+        if self.net.node_dead(node, now) {
             // The assembling node died mid-service: every member copy dies
             // with it; their upstream buffers come back via reclaim timers.
             // The envelope slot is abandoned, so its member list moves out.
@@ -1790,29 +1766,15 @@ impl Engine {
         self.coalesce.largest_envelope = self.coalesce.largest_envelope.max(payload);
         self.coalesce.deepest_fold = self.coalesce.deepest_fold.max(n);
         self.envelopes[env as usize].members = members;
-        if !self.faults_on() {
-            let d = self.net.send_envelope(now, node, to, payload, n);
-            self.queue
-                .schedule(d.at, Event::EnvelopeArrive { env, node: to });
-        } else {
-            match self.net.send_envelope_faulted(now, node, to, payload, n) {
-                SendOutcome::Delivered(d) => match self.checksum(d) {
-                    Some(d) => {
-                        self.queue
-                            .schedule(d.at, Event::EnvelopeArrive { env, node: to });
-                    }
-                    // A corrupt envelope fails its checksum as a unit:
-                    // recovered exactly like a dropped one.
-                    None => self.reclaim_later(d.at, CreditKey::cht(node, to, class)),
-                },
-                SendOutcome::Dropped { at, .. } => {
-                    // The envelope (and every member copy inside it) is
-                    // destroyed; its single downstream credit comes back via
-                    // the sender's reclaim timer and the origins' response
-                    // timers recover the operations.
-                    self.reclaim_later(at, CreditKey::cht(node, to, class));
-                }
-            }
+        match self.transmit(|net| net.send_envelope(now, node, to, payload, n)) {
+            Ok(t) => self
+                .queue
+                .schedule(t, Event::EnvelopeArrive { env, node: to }),
+            // A lost or corrupt envelope destroys every member copy inside
+            // it; its single downstream credit comes back via the sender's
+            // reclaim timer and the origins' response timers recover the
+            // operations.
+            Err(t) => self.reclaim_later(t, CreditKey::cht(node, to, class)),
         }
         if self.chts[node as usize].queue_len() > 0 {
             self.queue.schedule(now, Event::ChtTryStart { node });
@@ -1871,19 +1833,8 @@ impl Engine {
         let (from, class) = (env.from, env.class);
         let key = CreditKey::cht(from, node, class);
         self.coalesce.agg_acks += 1;
-        if !self.faults_on() {
-            let ack = self.net.send(now, node, from, Op::ack_bytes());
-            self.queue.schedule(ack.at, Event::AckArrive { key });
-            self.free_env(slot);
-            return;
-        }
-        match self.net.send_faulted(now, node, from, Op::ack_bytes()) {
-            SendOutcome::Delivered(ack) => match self.checksum(ack) {
-                Some(ack) => self.queue.schedule(ack.at, Event::AckArrive { key }),
-                None => self.reclaim_later(ack.at, key),
-            },
-            SendOutcome::Dropped { at, .. } => self.reclaim_later(at, key),
-        }
+        self.ack(now, node, from, key);
+        self.free_env(slot);
     }
 
     /// Fault-path sibling of [`Engine::ack_member`]: the copy of `req` at
@@ -1923,31 +1874,21 @@ impl Engine {
             edge: (r.prev_node, node),
             class: r.vc_class,
         };
-        if !self.faults_on() {
-            let ack = self.net.send(now, node, r.prev_node, Op::ack_bytes());
-            self.queue
-                .schedule(ack.at, Event::AckArrive { key: up_key });
-            return;
-        }
-        match self
-            .net
-            .send_faulted(now, node, r.prev_node, Op::ack_bytes())
-        {
-            SendOutcome::Delivered(ack) => match self.checksum(ack) {
-                Some(ack) => {
-                    self.queue
-                        .schedule(ack.at, Event::AckArrive { key: up_key });
-                }
-                None => self.reclaim_later(ack.at, up_key),
-            },
-            // A lost ack still frees the buffer eventually: the upstream
-            // sender's reclaim timer fires instead.
-            SendOutcome::Dropped { at, .. } => self.reclaim_later(at, up_key),
+        self.ack(now, node, r.prev_node, up_key);
+    }
+
+    /// Sends the ack releasing `key` from `node` back to `to`. A lost or
+    /// corrupt ack still frees the buffer eventually: the upstream
+    /// sender's reclaim timer fires instead.
+    fn ack(&mut self, now: SimTime, node: NodeId, to: NodeId, key: CreditKey) {
+        match self.transmit(|net| net.send(now, node, to, Op::ack_bytes())) {
+            Ok(t) => self.queue.schedule(t, Event::AckArrive { key }),
+            Err(t) => self.reclaim_later(t, key),
         }
     }
 
     fn cht_done(&mut self, now: SimTime, node: NodeId, req: ReqId) {
-        if self.faults_on() && self.net.node_dead(node, now) {
+        if self.net.node_dead(node, now) {
             // The node died while this request was in service: the copy is
             // destroyed with it, and the upstream buffer is reclaimed by
             // its owner's local timer.
@@ -2053,27 +1994,14 @@ impl Engine {
         if r.target_node == r.origin_node {
             let at = now + self.net.config().shm_latency;
             self.queue.schedule(at, Event::ResponseArrive { req });
-        } else if self.faults_on() {
-            match self
-                .net
-                .send_faulted(now, r.target_node, r.origin_node, r.op.response_bytes())
-            {
-                SendOutcome::Delivered(resp) => {
-                    if self.checksum(resp).is_some() {
-                        self.queue.schedule(resp.at, Event::ResponseArrive { req });
-                    }
-                }
-                // A lost (or corrupt) response is recovered by the origin's
-                // timer; the retransmitted request will hit the dedup table
-                // and be re-answered.
-                SendOutcome::Dropped { .. } => {}
-            }
-        } else {
-            let resp = self
-                .net
-                .send(now, r.target_node, r.origin_node, r.op.response_bytes());
-            self.queue.schedule(resp.at, Event::ResponseArrive { req });
+        } else if let Ok(t) =
+            self.transmit(|net| net.send(now, r.target_node, r.origin_node, r.op.response_bytes()))
+        {
+            self.queue.schedule(t, Event::ResponseArrive { req });
         }
+        // A lost (or corrupt) response is recovered by the origin's timer;
+        // the retransmitted request will hit the dedup table and be
+        // re-answered.
     }
 
     /// Grants the mutex owned by `target` to the next queued lock request,
@@ -2153,7 +2081,7 @@ impl Engine {
                 }
             }
             Some(Waiter::Fwd { node, req }) => {
-                if self.faults_on() && self.net.node_dead(node, now) {
+                if self.net.node_dead(node, now) {
                     // The forwarder died while parked: the copy it held is
                     // gone. Reclaim its upstream buffer and pass the
                     // just-granted downstream credit on.
@@ -2358,12 +2286,11 @@ impl Engine {
         }
     }
 
-    /// A scheduled node crash fires: the node's CHT, NIC and resident ranks
-    /// die. Queued requests on the node are destroyed (their upstream
-    /// buffers come back via reclaim timers) and in-flight traffic to the
-    /// node is dropped by the network layer from here on.
+    /// A scheduled node crash fires: the node's CHT and resident ranks die.
+    /// Queued requests on the node are destroyed (their upstream buffers
+    /// come back via reclaim timers); the network layer drops traffic to
+    /// and from the node inside the plan's outage window.
     fn node_crash(&mut self, now: SimTime, node: NodeId) {
-        self.net.kill_node(node);
         if let Err(pos) = self.dead.binary_search(&node) {
             self.dead.insert(pos, node);
         }
@@ -2410,16 +2337,15 @@ impl Engine {
             .any(|&n| self.restart_time[n as usize].is_some_and(|r| r > now))
     }
 
-    /// A scheduled node reboot fires: revive the NIC, drop the node from
-    /// the route-around dead set, restore its Lost resident ranks to the
-    /// phase the crash interrupted, and re-drive their in-flight
-    /// operations. Re-issued attempts keep their original sequence
-    /// numbers, so the target-side dedup table keeps every operation
-    /// exactly-once across the crash→reboot cycle. With membership on the
-    /// node also starts announcing itself, feeding the detector the
-    /// evidence that grows the view back (see [`Engine::rejoin_announce`]).
+    /// A scheduled node reboot fires: drop the node from the route-around
+    /// dead set, restore its Lost resident ranks to the phase the crash
+    /// interrupted, and re-drive their in-flight operations. Re-issued
+    /// attempts keep their original sequence numbers, so the target-side
+    /// dedup table keeps every operation exactly-once across the
+    /// crash→reboot cycle. With membership on the node also starts
+    /// announcing itself, feeding the detector the evidence that grows the
+    /// view back (see [`Engine::rejoin_announce`]).
     fn node_restart(&mut self, now: SimTime, node: NodeId) {
-        self.net.revive_node(node);
         if let Ok(pos) = self.dead.binary_search(&node) {
             self.dead.remove(pos);
         }
@@ -2550,16 +2476,14 @@ impl Engine {
         });
         if let Some(peer) = peer {
             self.membership.stats.probes += 1;
-            if let SendOutcome::Delivered(d) = self.net.send_probe(now, node, peer, PROBE_BYTES) {
-                if self.checksum(d).is_some() {
-                    self.queue.schedule(
-                        d.at,
-                        Event::ProbeArrive {
-                            node: peer,
-                            prober: node,
-                        },
-                    );
-                }
+            if let Ok(t) = self.transmit(|net| net.send_probe(now, node, peer, PROBE_BYTES)) {
+                self.queue.schedule(
+                    t,
+                    Event::ProbeArrive {
+                        node: peer,
+                        prober: node,
+                    },
+                );
             }
         }
         self.queue.schedule(
@@ -2595,16 +2519,30 @@ impl Engine {
             .any(|w| now >= w.from && now < w.until && w.involves(node))
     }
 
+    /// Puts one frame on the wire with `send` and checks it on arrival.
+    /// Returns `Ok` with the instant an intact frame arrives, or `Err` with
+    /// the instant the frame was destroyed: dropped by the network, or
+    /// discarded by the receiver's checksum. Callers treat both kinds of
+    /// `Err` alike — sender-side reclaim timers and origin response timers
+    /// recover whatever the frame carried.
+    fn transmit(
+        &mut self,
+        send: impl FnOnce(&mut Network) -> SendOutcome,
+    ) -> Result<SimTime, SimTime> {
+        match send(&mut self.net) {
+            SendOutcome::Delivered(d) => self.checksum(d),
+            SendOutcome::Dropped { at, .. } => Err(at),
+        }
+    }
+
     /// End-to-end envelope checksum at the receiver: a corrupt frame is
-    /// discarded on arrival. Callers treat `None` exactly like a network
-    /// drop at the delivery instant — sender-side reclaim timers and
-    /// origin response timers recover whatever the frame carried.
-    fn checksum(&mut self, d: Delivery) -> Option<Delivery> {
+    /// discarded on arrival, at its delivery instant.
+    fn checksum(&mut self, d: Delivery) -> Result<SimTime, SimTime> {
         if d.corrupt {
             self.faults.corrupt_detected += 1;
-            None
+            Err(d.at)
         } else {
-            Some(d)
+            Ok(d.at)
         }
     }
 
@@ -2757,13 +2695,8 @@ impl Engine {
                 .find(|&p| p != node && self.membership.confirmed.binary_search(&p).is_err());
             if let Some(prober) = prober {
                 self.membership.stats.probes += 1;
-                if let SendOutcome::Delivered(d) =
-                    self.net.send_probe(now, prober, node, PROBE_BYTES)
-                {
-                    if self.checksum(d).is_some() {
-                        self.queue
-                            .schedule(d.at, Event::ProbeArrive { node, prober });
-                    }
+                if let Ok(t) = self.transmit(|net| net.send_probe(now, prober, node, PROBE_BYTES)) {
+                    self.queue.schedule(t, Event::ProbeArrive { node, prober });
                 }
             }
             let expected = self.membership.mean_interval_ns[idx].max(period.as_nanos() as f64);
@@ -2814,10 +2747,8 @@ impl Engine {
         }
         // Receiving a probe is itself evidence that the prober is alive.
         self.heard_from(prober, now);
-        if let SendOutcome::Delivered(d) = self.net.send_faulted(now, node, prober, PROBE_BYTES) {
-            if self.checksum(d).is_some() {
-                self.queue.schedule(d.at, Event::ProbeAck { node });
-            }
+        if let Ok(t) = self.transmit(|net| net.send(now, node, prober, PROBE_BYTES)) {
+            self.queue.schedule(t, Event::ProbeAck { node });
         }
     }
 

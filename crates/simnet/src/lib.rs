@@ -13,17 +13,18 @@
 //!   bounded set of *fast message-stream contexts*; messages from sources
 //!   outside the hot set pay a BEER-style slow-path penalty, which models the
 //!   paper's "flow control and reliability" throttling (§II),
-//! * [`Network`] — the façade that reserves NIC and link time for a message
-//!   and returns its delivery time,
+//! * [`Network`] — the façade that reserves NIC and link time for a frame
+//!   (a single message, a coalesced envelope or a heartbeat probe) along
+//!   one transmit path and returns its delivery time or its loss,
 //! * [`DetRng`] and [`stats`] — seeded randomness and summary statistics,
 //! * [`ArrivalProcess`] — deterministic open-system arrival generators
 //!   (steady / diurnal / flash-crowd offered-load curves) for serving-mode
 //!   workloads,
 //! * [`FaultPlan`] — a deterministic schedule of node crashes and reboots,
 //!   link degradation/failure, network partitions, transient message loss
-//!   and payload corruption, interpreted by
-//!   [`Network::send_faulted`](net::Network::send_faulted); an empty plan
-//!   leaves every fast path untouched.
+//!   and payload corruption, interpreted by that same transmit path; with
+//!   no plan (or an empty one) none of its fault checks fires, so a
+//!   fault-free run is the path's zero case.
 //!
 //! The simulator is a *time-reservation* model: every component keeps a
 //! `busy_until` horizon and messages queue behind it, which is how many-to-one

@@ -1,12 +1,16 @@
 //! The network façade: message delivery with full contention accounting.
 //!
-//! [`Network::send`] walks a message through every serial resource it
-//! occupies — the sender's TX engine, each torus link of the
+//! Every frame — a single message, a coalesced envelope or a heartbeat
+//! probe — takes one transmit path. It walks the frame through every serial
+//! resource it occupies: the sender's TX engine, each torus link of the
 //! dimension-order route (cut-through: latency paid per hop, serialisation
 //! paid once but reserved on every link), and the receiver's RX engine with
-//! its stream table. The returned [`Delivery`] carries the completion time;
-//! queueing, tree saturation around hot nodes and BEER slow paths all emerge
-//! from the per-resource `busy_until` horizons.
+//! its stream table. The same walk interprets the installed [`FaultPlan`].
+//! Without a plan none of its checks fires, so a fault-free run is the zero
+//! case of that one path, not a separate path. The returned [`SendOutcome`]
+//! carries the completion time; queueing, tree saturation around hot nodes
+//! and BEER slow paths all emerge from the per-resource `busy_until`
+//! horizons.
 
 use crate::config::NetworkConfig;
 use crate::fault::{CorruptWindow, DropReason, DropWindow, FaultPlan, LinkMode, PartitionWindow};
@@ -17,7 +21,7 @@ use crate::rng::DetRng;
 use crate::time::SimTime;
 use crate::torus::Torus3;
 
-/// Outcome of injecting one message.
+/// A delivered frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Delivery {
     /// Time the payload is fully available at the destination host.
@@ -28,19 +32,19 @@ pub struct Delivery {
     pub hops: u32,
     /// Whether a corrupt window flipped payload bits in flight. The frame
     /// still arrives — detecting the damage is the runtime's job, via
-    /// end-to-end envelope checksums. Always false on the unfaulted paths.
+    /// end-to-end envelope checksums. Always false without corrupt windows.
     pub corrupt: bool,
 }
 
-/// Outcome of a send on a network that may inject faults.
+/// Outcome of injecting one frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SendOutcome {
-    /// The message arrived; same meaning as [`Network::send`]'s return.
+    /// The frame arrived.
     Delivered(Delivery),
-    /// The message was lost. Resources consumed before the loss point
+    /// The frame was lost. Resources consumed before the loss point
     /// (TX engine, links already traversed) stay consumed.
     Dropped {
-        /// Simulated time at which the message vanished.
+        /// Simulated time at which the frame vanished.
         at: SimTime,
         /// What claimed it.
         reason: DropReason,
@@ -48,32 +52,53 @@ pub enum SendOutcome {
 }
 
 /// Aggregate traffic counters for a run.
+///
+/// A frame refused before the NIC (its source is dead, or a partition
+/// severs the pair) is counted only in `dropped`. Every other inter-node
+/// frame is counted in `messages`, whether it is delivered or lost on the
+/// way (failed link, dead destination, transient loss).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetCounters {
-    /// Inter-node messages sent (attempted; includes dropped ones).
+    /// Inter-node frames that reached the sender's NIC: every remote
+    /// delivery plus every frame lost to a failed link, a dead destination
+    /// or a transient-loss window.
     pub messages: u64,
     /// Intra-node (shared-memory) deliveries.
     pub local_messages: u64,
-    /// Total payload bytes sent inter-node.
+    /// Total wire bytes of the frames counted in `messages`.
     pub bytes: u64,
     /// Total BEER slow-path events.
     pub stream_misses: u64,
-    /// Total physical hops traversed.
+    /// Total physical hops traversed by the frames counted in `messages`
+    /// (a frame lost at a failed link counts the links before it).
     pub hops: u64,
-    /// Messages lost to injected faults.
+    /// Frames lost to injected faults, wherever they were lost.
     pub dropped: u64,
-    /// Coalesced envelopes sent inter-node (attempted; each is also counted
-    /// once in `messages` — an envelope is one wire message).
+    /// Coalesced envelopes counted in `messages` (an envelope is one wire
+    /// message); moves exactly with `messages` for envelope frames.
     pub envelopes: u64,
-    /// Member requests carried inside envelopes (attempted).
+    /// Member requests carried by the envelopes counted in `envelopes`.
     pub coalesced_requests: u64,
-    /// Failure-detector heartbeat probes sent (attempted; each is also
-    /// counted once in `messages`). Zero unless the runtime's membership
-    /// layer is enabled.
+    /// Failure-detector heartbeat probes, counted on every attempt. Each
+    /// is also counted like any other frame: in `local_messages`,
+    /// `messages` or, if refused before the NIC, `dropped` alone. Zero
+    /// unless the runtime's membership layer is enabled.
     pub probes: u64,
     /// Frames delivered with corrupted payloads (each is also counted once
     /// in `messages`). Zero unless the plan schedules corrupt windows.
     pub corrupted: u64,
+}
+
+/// What a transmission carries: it sizes the wire frame and picks the
+/// counters the frame moves.
+#[derive(Clone, Copy)]
+enum Frame {
+    /// One message of the given wire bytes.
+    Single(u64),
+    /// A coalesced envelope of `members` requests totalling `payload` bytes.
+    Envelope { payload: u64, members: u32 },
+    /// A failure-detector heartbeat probe of the given wire bytes.
+    Probe(u64),
 }
 
 /// Interpreted fault state: per-node outage windows (crash instant plus
@@ -105,6 +130,28 @@ impl FaultCtx {
     /// Whether an active partition severs `src -> dst` at `at`.
     fn partitioned(&self, at: SimTime, src: u32, dst: u32) -> bool {
         self.partitions.iter().any(|w| w.severs(at, src, dst))
+    }
+
+    /// The fate of a frame reaching `dst` at `arrival`: lost to a dead
+    /// destination or to the first drop window covering `arrival`, else
+    /// delivered, corrupt if the first corrupt window covering `arrival`
+    /// says so. Draws at most once from each window's stream, in that
+    /// order.
+    fn fate(&mut self, dst: u32, arrival: SimTime) -> Result<bool, DropReason> {
+        if self.dead_at(dst, arrival) {
+            return Err(DropReason::DestDead);
+        }
+        let covers = |from: SimTime, until: SimTime| arrival >= from && arrival < until;
+        if let Some(w) = self.drop_windows.iter().find(|w| covers(w.from, w.until)) {
+            if self.drop_rng.f64() < w.probability {
+                return Err(DropReason::Transient);
+            }
+        }
+        Ok(self
+            .corrupt_windows
+            .iter()
+            .find(|w| covers(w.from, w.until))
+            .is_some_and(|w| self.corrupt_rng.f64() < w.probability))
     }
 }
 
@@ -152,9 +199,8 @@ impl Network {
     }
 
     /// Builds the network with an injected [`FaultPlan`]. An empty plan
-    /// yields a network indistinguishable from [`Network::new`]'s — no
-    /// fault state is installed and [`Network::send_faulted`] takes the
-    /// plain [`Network::send`] path.
+    /// installs no fault state, so the network is indistinguishable from
+    /// [`Network::new`]'s.
     ///
     /// # Panics
     /// Panics if the plan fails [`FaultPlan::validate`], names a node
@@ -231,21 +277,6 @@ impl Network {
         }
     }
 
-    /// Marks `node`'s NIC dead. Called by the runtime when it processes the
-    /// node's crash event; the time-aware drop decisions use the plan's
-    /// outage windows, this just keeps the hardware state observable.
-    pub fn kill_node(&mut self, node: u32) {
-        self.nics[node as usize].kill();
-    }
-
-    /// Clears `node`'s NIC dead flag. Called by the runtime when it
-    /// processes the node's restart event; as with [`Network::kill_node`],
-    /// the drop decisions are time-based and this keeps the hardware state
-    /// observable.
-    pub fn revive_node(&mut self, node: u32) {
-        self.nics[node as usize].revive();
-    }
-
     /// Number of logical nodes.
     pub fn num_nodes(&self) -> u32 {
         self.nics.len() as u32
@@ -258,73 +289,31 @@ impl Network {
     }
 
     /// Sends `bytes` from logical node `src` to `dst` at time `now`,
-    /// reserving every resource on the way; returns the delivery.
-    pub fn send(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64) -> Delivery {
-        if src == dst {
-            self.counters.local_messages += 1;
-            return Delivery {
-                at: now + self.cfg.shm_latency,
-                stream_miss: false,
-                hops: 0,
-                corrupt: false,
-            };
-        }
+    /// reserving every resource on the way, under the installed fault plan.
+    /// Without a plan the frame is always delivered.
+    pub fn send(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64) -> SendOutcome {
+        self.transmit(now, src, dst, Frame::Single(bytes))
+    }
 
-        // Transmit engine: software overhead + injection DMA.
-        let entered =
-            self.nics[src as usize].reserve_tx(now, self.cfg.tx_overhead, self.cfg.inj_time(bytes));
-
-        // Cut-through over the dimension-order route: the head pays hop
-        // latency per link; the body's serialisation time is reserved on
-        // every link it occupies but paid end-to-end only once.
-        let occupancy = self.cfg.link_time(bytes);
-        let route = self
-            .torus
-            .route(self.placement.slot(src), self.placement.slot(dst));
-        let mut hops = 0u32;
-        let mut head = entered;
-        for link_id in route {
-            head =
-                self.links[link_id as usize].reserve(head, occupancy, bytes) + self.cfg.hop_latency;
-            hops += 1;
-        }
-        let arrival = head + occupancy;
-
-        // Receive engine: fast path or BEER slow path.
-        let (at, stream_miss) = self.nics[dst as usize].reserve_rx(
-            src,
-            arrival,
-            self.cfg.rx_base,
-            self.cfg.rx_time(bytes),
-            self.cfg.stream_miss_penalty,
-        );
-
-        self.counters.messages += 1;
-        self.counters.bytes += bytes;
-        self.counters.hops += u64::from(hops);
-        self.counters.stream_misses += u64::from(stream_miss);
-        Delivery {
-            at,
-            stream_miss,
-            hops,
-            corrupt: false,
-        }
+    /// Alias of [`Network::send`], kept for `simbench/src/replay.rs`.
+    pub fn send_faulted(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64) -> SendOutcome {
+        self.send(now, src, dst, bytes)
     }
 
     /// Sends a coalesced envelope of `subreqs` member requests totalling
-    /// `payload_bytes` from `src` to `dst`; returns the delivery of the
-    /// whole envelope.
+    /// `payload_bytes` from `src` to `dst`; the envelope is lost or
+    /// delivered as a unit.
     ///
     /// The envelope is one wire message: one TX reservation, one
     /// cut-through traversal sized by [`NetworkConfig::envelope_bytes`]
     /// (payload plus per-member framing), and one RX reservation that pays
     /// `rx_base` once plus `env_unpack` per member beyond the first. This
-    /// path is deliberately separate from [`Network::send`] so a run with
-    /// coalescing disabled never touches it.
+    /// is where coalescing wins at a hot receiver: `n` singles would pay
+    /// `rx_base` (and risk a BEER miss) `n` times.
     ///
     /// # Panics
-    /// Panics on an intra-node envelope — coalescing only exists on the
-    /// forwarding path, which always crosses nodes.
+    /// Panics on an intra-node envelope from a live source — coalescing
+    /// only exists on the forwarding path, which always crosses nodes.
     pub fn send_envelope(
         &mut self,
         now: SimTime,
@@ -332,202 +321,63 @@ impl Network {
         dst: u32,
         payload_bytes: u64,
         subreqs: u32,
-    ) -> Delivery {
-        assert_ne!(src, dst, "envelopes are inter-node by construction");
-        let bytes = self.cfg.envelope_bytes(payload_bytes, subreqs);
-        let entered =
-            self.nics[src as usize].reserve_tx(now, self.cfg.tx_overhead, self.cfg.inj_time(bytes));
-        let occupancy = self.cfg.link_time(bytes);
-        let route = self
-            .torus
-            .route(self.placement.slot(src), self.placement.slot(dst));
-        let mut hops = 0u32;
-        let mut head = entered;
-        for link_id in route {
-            head =
-                self.links[link_id as usize].reserve(head, occupancy, bytes) + self.cfg.hop_latency;
-            hops += 1;
-        }
-        let arrival = head + occupancy;
-        let (at, stream_miss) = self.nics[dst as usize].reserve_rx_envelope(
-            src,
-            arrival,
-            self.cfg.rx_base,
-            self.cfg.rx_time(bytes),
-            self.cfg.stream_miss_penalty,
-            self.cfg.env_unpack * u64::from(subreqs.saturating_sub(1)),
-        );
-        self.counters.messages += 1;
-        self.counters.bytes += bytes;
-        self.counters.hops += u64::from(hops);
-        self.counters.stream_misses += u64::from(stream_miss);
-        self.counters.envelopes += 1;
-        self.counters.coalesced_requests += u64::from(subreqs);
-        Delivery {
-            at,
-            stream_miss,
-            hops,
-            corrupt: false,
-        }
-    }
-
-    /// The installed fault context. Only called on paths guarded by an
-    /// `is_none` early return at function entry, so a missing context is a
-    /// control-flow corruption worth crashing on.
-    #[allow(clippy::expect_used)]
-    fn faults_mut(&mut self) -> &mut FaultCtx {
-        self.faults
-            .as_mut()
-            .expect("faulted send paths are guarded at entry")
-    }
-
-    /// [`Network::send_envelope`] under the installed fault plan: the
-    /// envelope is lost or delivered as a unit, by the same rules as
-    /// [`Network::send_faulted`].
-    pub fn send_envelope_faulted(
-        &mut self,
-        now: SimTime,
-        src: u32,
-        dst: u32,
-        payload_bytes: u64,
-        subreqs: u32,
     ) -> SendOutcome {
-        if self.faults.is_none() {
-            return SendOutcome::Delivered(self.send_envelope(
-                now,
-                src,
-                dst,
-                payload_bytes,
-                subreqs,
-            ));
-        }
-        if self.node_dead(src, now) {
-            self.counters.dropped += 1;
-            return SendOutcome::Dropped {
-                at: now,
-                reason: DropReason::SourceDead,
-            };
-        }
-        if self.faults_mut().partitioned(now, src, dst) {
-            // The cut severs the pair at the sender's port: like a dead
-            // source, the frame never reaches the NIC.
-            self.counters.dropped += 1;
-            return SendOutcome::Dropped {
-                at: now,
-                reason: DropReason::Partitioned,
-            };
-        }
-        assert_ne!(src, dst, "envelopes are inter-node by construction");
-        let bytes = self.cfg.envelope_bytes(payload_bytes, subreqs);
-        let entered =
-            self.nics[src as usize].reserve_tx(now, self.cfg.tx_overhead, self.cfg.inj_time(bytes));
-        let occupancy = self.cfg.link_time(bytes);
-        let (sa, sb) = (self.placement.slot(src), self.placement.slot(dst));
-        let hops = self.torus.hop_count(sa, sb);
-        let mut head = entered;
-        let mut drain = occupancy;
-        for (traversed, link_id) in self.torus.route(sa, sb).enumerate() {
-            let id = link_id as usize;
-            let scaled = match &self.link_faults {
-                Some(lf) if lf[id].is_down(head) => {
-                    self.counters.messages += 1;
-                    self.counters.bytes += bytes;
-                    self.counters.hops += traversed as u64;
-                    self.counters.dropped += 1;
-                    self.counters.envelopes += 1;
-                    self.counters.coalesced_requests += u64::from(subreqs);
-                    return SendOutcome::Dropped {
-                        at: head,
-                        reason: DropReason::LinkDown,
-                    };
-                }
-                Some(lf) => scale_time(occupancy, lf[id].occupancy_factor(head)),
-                None => occupancy,
-            };
-            drain = drain.max(scaled);
-            head = self.links[id].reserve(head, scaled, bytes) + self.cfg.hop_latency;
-        }
-        let arrival = head + drain;
-
-        let faults = self.faults_mut();
-        if faults.dead_at(dst, arrival) {
-            self.counters.messages += 1;
-            self.counters.bytes += bytes;
-            self.counters.hops += u64::from(hops);
-            self.counters.dropped += 1;
-            self.counters.envelopes += 1;
-            self.counters.coalesced_requests += u64::from(subreqs);
-            return SendOutcome::Dropped {
-                at: arrival,
-                reason: DropReason::DestDead,
-            };
-        }
-        for w in &faults.drop_windows {
-            if arrival >= w.from && arrival < w.until {
-                if faults.drop_rng.f64() < w.probability {
-                    self.counters.messages += 1;
-                    self.counters.bytes += bytes;
-                    self.counters.hops += u64::from(hops);
-                    self.counters.dropped += 1;
-                    self.counters.envelopes += 1;
-                    self.counters.coalesced_requests += u64::from(subreqs);
-                    return SendOutcome::Dropped {
-                        at: arrival,
-                        reason: DropReason::Transient,
-                    };
-                }
-                break;
-            }
-        }
-        let mut corrupt = false;
-        for w in &faults.corrupt_windows {
-            if arrival >= w.from && arrival < w.until {
-                corrupt = faults.corrupt_rng.f64() < w.probability;
-                break;
-            }
-        }
-
-        let (at, stream_miss) = self.nics[dst as usize].reserve_rx_envelope(
-            src,
-            arrival,
-            self.cfg.rx_base,
-            self.cfg.rx_time(bytes),
-            self.cfg.stream_miss_penalty,
-            self.cfg.env_unpack * u64::from(subreqs.saturating_sub(1)),
-        );
-        self.counters.messages += 1;
-        self.counters.bytes += bytes;
-        self.counters.hops += u64::from(hops);
-        self.counters.stream_misses += u64::from(stream_miss);
-        self.counters.envelopes += 1;
-        self.counters.coalesced_requests += u64::from(subreqs);
-        self.counters.corrupted += u64::from(corrupt);
-        SendOutcome::Delivered(Delivery {
-            at,
-            stream_miss,
-            hops,
-            corrupt,
-        })
+        let frame = Frame::Envelope {
+            payload: payload_bytes,
+            members: subreqs,
+        };
+        self.transmit(now, src, dst, frame)
     }
 
-    /// Sends under the installed fault plan. Without a plan this is
-    /// exactly [`Network::send`]; with one, the message can be lost to a
-    /// dead endpoint, a failed link on its route, or a transient-loss
-    /// window, and traverses degraded links at their slowed rate.
-    pub fn send_faulted(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64) -> SendOutcome {
-        if self.faults.is_none() {
-            return SendOutcome::Delivered(self.send(now, src, dst, bytes));
-        }
-        if self.node_dead(src, now) {
+    /// Sends a failure-detector heartbeat probe: [`Network::send`], plus
+    /// the probe traffic counter. Probes are ordinary wire messages — they
+    /// can be lost to dead endpoints, downed links and transient-loss
+    /// windows like any other traffic, which is what makes a silent peer
+    /// genuinely ambiguous to the detector.
+    pub fn send_probe(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64) -> SendOutcome {
+        self.transmit(now, src, dst, Frame::Probe(bytes))
+    }
+
+    /// The one transmit path. Holds the only route walk, the only fault
+    /// checks and the only counter updates; each fault check is a no-op
+    /// without an installed plan.
+    fn transmit(&mut self, now: SimTime, src: u32, dst: u32, frame: Frame) -> SendOutcome {
+        let (bytes, members) = match frame {
+            Frame::Single(bytes) => (bytes, None),
+            Frame::Envelope { payload, members } => {
+                (self.cfg.envelope_bytes(payload, members), Some(members))
+            }
+            Frame::Probe(bytes) => {
+                self.counters.probes += 1;
+                (bytes, None)
+            }
+        };
+
+        // A dead source sends nothing. A partition cut severs the pair at
+        // the sender's port, so the frame never reaches the NIC either.
+        let refused = if self.node_dead(src, now) {
+            Some(DropReason::SourceDead)
+        } else if src != dst
+            && self
+                .faults
+                .as_ref()
+                .is_some_and(|f| f.partitioned(now, src, dst))
+        {
+            Some(DropReason::Partitioned)
+        } else {
+            None
+        };
+        if let Some(reason) = refused {
             self.counters.dropped += 1;
-            return SendOutcome::Dropped {
-                at: now,
-                reason: DropReason::SourceDead,
-            };
+            return SendOutcome::Dropped { at: now, reason };
         }
         if src == dst {
             // Intra-node copies move through host memory, not the NIC, so
             // network faults cannot touch them.
+            assert!(
+                members.is_none(),
+                "envelopes are inter-node by construction"
+            );
             self.counters.local_messages += 1;
             return SendOutcome::Delivered(Delivery {
                 at: now + self.cfg.shm_latency,
@@ -536,91 +386,71 @@ impl Network {
                 corrupt: false,
             });
         }
-        if self.faults_mut().partitioned(now, src, dst) {
-            // The cut severs the pair at the sender's port: like a dead
-            // source, the frame never reaches the NIC.
-            self.counters.dropped += 1;
-            return SendOutcome::Dropped {
-                at: now,
-                reason: DropReason::Partitioned,
-            };
-        }
 
+        // Transmit engine: software overhead + injection DMA.
         let entered =
             self.nics[src as usize].reserve_tx(now, self.cfg.tx_overhead, self.cfg.inj_time(bytes));
+
+        // Cut-through over the dimension-order route: the head pays hop
+        // latency per link; the body's serialisation time is reserved on
+        // every link it occupies but paid end-to-end only once, at the rate
+        // of the slowest (most degraded) link it crosses.
         let occupancy = self.cfg.link_time(bytes);
-        let (sa, sb) = (self.placement.slot(src), self.placement.slot(dst));
-        let hops = self.torus.hop_count(sa, sb);
+        let route = self
+            .torus
+            .route(self.placement.slot(src), self.placement.slot(dst));
+        let mut hops = 0u32;
         let mut head = entered;
-        // Cut-through as in `send`, except a degraded link slows its own
-        // serialisation and the end-to-end drain is set by the slowest
-        // link the body crosses.
         let mut drain = occupancy;
-        for (traversed, link_id) in self.torus.route(sa, sb).enumerate() {
+        let mut link_down = false;
+        for link_id in route {
             let id = link_id as usize;
             let scaled = match &self.link_faults {
                 Some(lf) if lf[id].is_down(head) => {
-                    self.counters.messages += 1;
-                    self.counters.bytes += bytes;
-                    self.counters.hops += traversed as u64;
-                    self.counters.dropped += 1;
-                    return SendOutcome::Dropped {
-                        at: head,
-                        reason: DropReason::LinkDown,
-                    };
+                    link_down = true;
+                    break;
                 }
                 Some(lf) => scale_time(occupancy, lf[id].occupancy_factor(head)),
                 None => occupancy,
             };
             drain = drain.max(scaled);
             head = self.links[id].reserve(head, scaled, bytes) + self.cfg.hop_latency;
+            hops += 1;
         }
         let arrival = head + drain;
+        let fate = if link_down {
+            Err((head, DropReason::LinkDown))
+        } else if let Some(f) = &mut self.faults {
+            f.fate(dst, arrival).map_err(|reason| (arrival, reason))
+        } else {
+            Ok(false)
+        };
 
-        let faults = self.faults_mut();
-        if faults.dead_at(dst, arrival) {
-            self.counters.messages += 1;
-            self.counters.bytes += bytes;
-            self.counters.hops += u64::from(hops);
-            self.counters.dropped += 1;
-            return SendOutcome::Dropped {
-                at: arrival,
-                reason: DropReason::DestDead,
-            };
+        self.counters.messages += 1;
+        self.counters.bytes += bytes;
+        self.counters.hops += u64::from(hops);
+        if let Some(n) = members {
+            self.counters.envelopes += 1;
+            self.counters.coalesced_requests += u64::from(n);
         }
-        for w in &faults.drop_windows {
-            if arrival >= w.from && arrival < w.until {
-                if faults.drop_rng.f64() < w.probability {
-                    self.counters.messages += 1;
-                    self.counters.bytes += bytes;
-                    self.counters.hops += u64::from(hops);
-                    self.counters.dropped += 1;
-                    return SendOutcome::Dropped {
-                        at: arrival,
-                        reason: DropReason::Transient,
-                    };
-                }
-                break;
+        let corrupt = match fate {
+            Ok(corrupt) => corrupt,
+            Err((at, reason)) => {
+                self.counters.dropped += 1;
+                return SendOutcome::Dropped { at, reason };
             }
-        }
-        let mut corrupt = false;
-        for w in &faults.corrupt_windows {
-            if arrival >= w.from && arrival < w.until {
-                corrupt = faults.corrupt_rng.f64() < w.probability;
-                break;
-            }
-        }
+        };
 
+        // Receive engine: fast path or BEER slow path. An envelope's drain
+        // also demultiplexes every member beyond the first.
+        let unpack = self.cfg.env_unpack * u64::from(members.unwrap_or(1).saturating_sub(1));
         let (at, stream_miss) = self.nics[dst as usize].reserve_rx(
             src,
             arrival,
             self.cfg.rx_base,
-            self.cfg.rx_time(bytes),
+            self.cfg.rx_time(bytes) + unpack,
             self.cfg.stream_miss_penalty,
         );
-        self.counters.messages += 1;
-        self.counters.bytes += bytes;
-        self.counters.hops += u64::from(hops);
         self.counters.stream_misses += u64::from(stream_miss);
         self.counters.corrupted += u64::from(corrupt);
         SendOutcome::Delivered(Delivery {
@@ -631,25 +461,9 @@ impl Network {
         })
     }
 
-    /// Sends a failure-detector heartbeat probe under the installed fault
-    /// plan: exactly [`Network::send_faulted`], plus the probe traffic
-    /// counter. Probes are ordinary wire messages — they can be lost to
-    /// dead endpoints, downed links and transient-loss windows like any
-    /// other traffic, which is what makes a silent peer genuinely
-    /// ambiguous to the detector.
-    pub fn send_probe(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64) -> SendOutcome {
-        self.counters.probes += 1;
-        self.send_faulted(now, src, dst, bytes)
-    }
-
     /// Aggregate traffic counters.
     pub fn counters(&self) -> NetCounters {
         self.counters
-    }
-
-    /// Read access to a node's NIC (for reports and tests).
-    pub fn nic(&self, node: u32) -> &Nic {
-        &self.nics[node as usize]
     }
 
     /// The `k` busiest links by bytes carried, busiest first — makes tree
@@ -708,10 +522,17 @@ mod tests {
         Network::new(NetworkConfig::default(), n)
     }
 
+    fn delivered(out: SendOutcome) -> Delivery {
+        match out {
+            SendOutcome::Delivered(d) => d,
+            other => panic!("expected a delivery, got {other:?}"),
+        }
+    }
+
     #[test]
     fn local_delivery_uses_shm_latency() {
         let mut net = quiet_net(4);
-        let d = net.send(SimTime::from_micros(1), 2, 2, 1 << 20);
+        let d = delivered(net.send(SimTime::from_micros(1), 2, 2, 1 << 20));
         assert_eq!(d.at, SimTime::from_micros(1) + net.config().shm_latency);
         assert_eq!(d.hops, 0);
         assert!(!d.stream_miss);
@@ -723,7 +544,7 @@ mod tests {
     fn remote_delivery_time_decomposes() {
         let mut net = quiet_net(8);
         let bytes = 2_400; // 1 us of injection and rx, 0.4 us on the wire
-        let d = net.send(SimTime::ZERO, 0, 1, bytes);
+        let d = delivered(net.send(SimTime::ZERO, 0, 1, bytes));
         let cfg = *net.config();
         let hops = net.hop_distance(0, 1);
         assert!(hops >= 1);
@@ -740,10 +561,29 @@ mod tests {
     }
 
     #[test]
+    fn envelope_delivery_time_decomposes() {
+        // One TX, one traversal and one RX for the whole envelope; the RX
+        // pays rx_base once plus env_unpack per member beyond the first.
+        let mut net = quiet_net(8);
+        let d = delivered(net.send_envelope(SimTime::ZERO, 0, 1, 4 * 160, 4));
+        let cfg = *net.config();
+        let bytes = cfg.envelope_bytes(4 * 160, 4);
+        let expected = cfg.tx_overhead
+            + cfg.inj_time(bytes)
+            + cfg.hop_latency * u64::from(net.hop_distance(0, 1))
+            + cfg.link_time(bytes)
+            + cfg.rx_base
+            + cfg.rx_time(bytes)
+            + cfg.env_unpack * 3
+            + cfg.stream_miss_penalty;
+        assert_eq!(d.at, expected);
+    }
+
+    #[test]
     fn second_message_from_same_source_hits_stream_table() {
         let mut net = quiet_net(4);
-        let a = net.send(SimTime::ZERO, 0, 1, 64);
-        let b = net.send(a.at, 0, 1, 64);
+        let a = delivered(net.send(SimTime::ZERO, 0, 1, 64));
+        let b = delivered(net.send(a.at, 0, 1, 64));
         assert!(a.stream_miss);
         assert!(!b.stream_miss);
         assert_eq!(net.counters().stream_misses, 1);
@@ -757,10 +597,10 @@ mod tests {
             ..NetworkConfig::default()
         };
         let mut near_net = Network::new(cfg, 512);
-        let near = near_net.send(SimTime::ZERO, 1, 0, 1_024).at;
+        let near = delivered(near_net.send(SimTime::ZERO, 1, 0, 1_024)).at;
         let mut far_net = Network::new(cfg, 512);
         let far_src = 256; // (0,0,4): 4 hops from slot 0
-        let far = far_net.send(SimTime::ZERO, far_src, 0, 1_024).at;
+        let far = delivered(far_net.send(SimTime::ZERO, far_src, 0, 1_024)).at;
         assert!(far > near, "far {far:?} <= near {near:?}");
     }
 
@@ -769,7 +609,7 @@ mod tests {
         let mut net = quiet_net(64);
         // All nodes fire at the hot node simultaneously.
         let deliveries: Vec<Delivery> = (1..64)
-            .map(|src| net.send(SimTime::ZERO, src, 0, 4_096))
+            .map(|src| delivered(net.send(SimTime::ZERO, src, 0, 4_096)))
             .collect();
         let mut times: Vec<SimTime> = deliveries.iter().map(|d| d.at).collect();
         times.sort_unstable();
@@ -780,7 +620,7 @@ mod tests {
         }
         // The last delivery reflects a deep queue: far beyond a lone send.
         let mut lone_net = quiet_net(64);
-        let lone = lone_net.send(SimTime::ZERO, 1, 0, 4_096).at;
+        let lone = delivered(lone_net.send(SimTime::ZERO, 1, 0, 4_096)).at;
         assert!(*times.last().unwrap() > lone * 10);
     }
 
@@ -796,7 +636,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for _round in 0..4 {
             for src in 1..=12u32 {
-                t = net.send(t, src, 0, 64).at;
+                t = delivered(net.send(t, src, 0, 64)).at;
             }
         }
         let thrashed = net.counters().stream_misses;
@@ -806,7 +646,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for _round in 0..4 {
             for src in 1..=6u32 {
-                t = net2.send(t, src, 0, 64).at;
+                t = delivered(net2.send(t, src, 0, 64)).at;
             }
         }
         assert_eq!(net2.counters().stream_misses, 6, "only cold misses");
@@ -817,11 +657,11 @@ mod tests {
         // Same total payload into the same receiver: one 4-member envelope
         // vs four singles from the same forwarder.
         let mut env_net = quiet_net(8);
-        let env = env_net.send_envelope(SimTime::ZERO, 3, 0, 4 * 160, 4);
+        let env = delivered(env_net.send_envelope(SimTime::ZERO, 3, 0, 4 * 160, 4));
         let mut single_net = quiet_net(8);
         let mut last = SimTime::ZERO;
         for _ in 0..4 {
-            last = single_net.send(SimTime::ZERO, 3, 0, 160).at;
+            last = delivered(single_net.send(SimTime::ZERO, 3, 0, 160)).at;
         }
         assert!(env.at < last, "envelope {:?} >= singles {:?}", env.at, last);
         let c = env_net.counters();
@@ -840,8 +680,8 @@ mod tests {
         let mut plain = Network::new(cfg, 16);
         let mut faulted = Network::with_faults(cfg, 16, &FaultPlan::new());
         let a = plain.send_envelope(SimTime::ZERO, 5, 0, 640, 4);
-        let b = faulted.send_envelope_faulted(SimTime::ZERO, 5, 0, 640, 4);
-        assert_eq!(b, SendOutcome::Delivered(a));
+        let b = faulted.send_envelope(SimTime::ZERO, 5, 0, 640, 4);
+        assert_eq!(b, a);
         assert_eq!(plain.counters(), faulted.counters());
     }
 
@@ -849,7 +689,7 @@ mod tests {
     fn envelope_to_crashed_destination_is_dropped() {
         let plan = FaultPlan::new().crash_node(SimTime::ZERO, 0);
         let mut net = Network::with_faults(NetworkConfig::default(), 8, &plan);
-        match net.send_envelope_faulted(SimTime::from_micros(1), 5, 0, 320, 2) {
+        match net.send_envelope(SimTime::from_micros(1), 5, 0, 320, 2) {
             SendOutcome::Dropped { reason, .. } => assert_eq!(reason, DropReason::DestDead),
             other => panic!("expected a dest-dead drop, got {other:?}"),
         }
@@ -927,7 +767,7 @@ mod tests {
             ..NetworkConfig::default()
         };
         let mut net = Network::new(cfg, 100);
-        let d = net.send(SimTime::ZERO, 99, 0, 1_000);
+        let d = delivered(net.send(SimTime::ZERO, 99, 0, 1_000));
         assert!(d.at > SimTime::ZERO);
     }
 
@@ -951,8 +791,8 @@ mod tests {
         assert!(!faulted.faults_enabled());
         for (src, dst, bytes) in [(1, 0, 4_096u64), (5, 0, 64), (3, 3, 128), (9, 2, 10_000)] {
             let a = plain.send(SimTime::ZERO, src, dst, bytes);
-            let b = faulted.send_faulted(SimTime::ZERO, src, dst, bytes);
-            assert_eq!(b, SendOutcome::Delivered(a));
+            let b = faulted.send(SimTime::ZERO, src, dst, bytes);
+            assert_eq!(b, a);
         }
         assert_eq!(plain.counters(), faulted.counters());
         assert_eq!(faulted.counters().dropped, 0);
@@ -963,9 +803,9 @@ mod tests {
         let plan = FaultPlan::new().crash_node(SimTime::from_micros(10), 4);
         let mut net = Network::with_faults(NetworkConfig::default(), 8, &plan);
         // Before the crash the node still sends.
-        let before = net.send_faulted(SimTime::ZERO, 4, 0, 64);
+        let before = net.send(SimTime::ZERO, 4, 0, 64);
         assert!(matches!(before, SendOutcome::Delivered(_)));
-        let after = net.send_faulted(SimTime::from_micros(10), 4, 0, 64);
+        let after = net.send(SimTime::from_micros(10), 4, 0, 64);
         assert_eq!(
             after,
             SendOutcome::Dropped {
@@ -982,7 +822,7 @@ mod tests {
         // message is already in flight and vanishes at the dead NIC.
         let plan = FaultPlan::new().crash_node(SimTime::from_nanos(2_000), 0);
         let mut net = Network::with_faults(NetworkConfig::default(), 8, &plan);
-        match net.send_faulted(SimTime::ZERO, 7, 0, 4_096) {
+        match net.send(SimTime::ZERO, 7, 0, 4_096) {
             SendOutcome::Dropped { at, reason } => {
                 assert_eq!(reason, DropReason::DestDead);
                 assert!(at >= SimTime::from_nanos(2_000));
@@ -1004,7 +844,7 @@ mod tests {
         let first = route[0];
         let plan = FaultPlan::new().fail_link(first / 6, (first % 6) as u8, SimTime::ZERO, None);
         let mut net = Network::with_faults(cfg, 8, &plan);
-        match net.send_faulted(SimTime::ZERO, 3, 0, 64) {
+        match net.send(SimTime::ZERO, 3, 0, 64) {
             SendOutcome::Dropped { reason, .. } => assert_eq!(reason, DropReason::LinkDown),
             other => panic!("expected a link-down drop, got {other:?}"),
         }
@@ -1016,7 +856,7 @@ mod tests {
             Some(SimTime::from_nanos(1)),
         );
         let mut net2 = Network::with_faults(cfg, 8, &plan2);
-        let late = net2.send_faulted(SimTime::from_micros(100), 3, 0, 64);
+        let late = net2.send(SimTime::from_micros(100), 3, 0, 64);
         assert!(matches!(late, SendOutcome::Delivered(_)));
     }
 
@@ -1032,11 +872,11 @@ mod tests {
             FaultPlan::new().degrade_link(first / 6, (first % 6) as u8, SimTime::ZERO, None, 8.0);
         let mut slow = Network::with_faults(cfg, 8, &plan);
         let mut fast = Network::new(cfg, 8);
-        let slow_at = match slow.send_faulted(SimTime::ZERO, 3, 0, 60_000) {
+        let slow_at = match slow.send(SimTime::ZERO, 3, 0, 60_000) {
             SendOutcome::Delivered(d) => d.at,
             other => panic!("degraded link should still deliver, got {other:?}"),
         };
-        let fast_at = fast.send(SimTime::ZERO, 3, 0, 60_000).at;
+        let fast_at = delivered(fast.send(SimTime::ZERO, 3, 0, 60_000)).at;
         assert!(slow_at > fast_at, "{slow_at:?} <= {fast_at:?}");
     }
 
@@ -1053,7 +893,7 @@ mod tests {
             let mut outcomes = Vec::new();
             for i in 0..200u32 {
                 let src = 1 + (i % 31);
-                let out = net.send_faulted(t, src, 0, 256);
+                let out = net.send(t, src, 0, 256);
                 if let SendOutcome::Delivered(d) = out {
                     t = d.at;
                 }
@@ -1072,17 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn killed_nic_is_observable() {
-        let plan = FaultPlan::new().crash_node(SimTime::ZERO, 2);
-        let mut net = Network::with_faults(NetworkConfig::default(), 4, &plan);
-        assert!(!net.nic(2).is_dead());
-        net.kill_node(2);
-        assert!(net.nic(2).is_dead());
-        net.revive_node(2);
-        assert!(!net.nic(2).is_dead());
-    }
-
-    #[test]
     fn restarted_node_is_dead_only_inside_its_outage_window() {
         let plan = FaultPlan::new()
             .crash_node(SimTime::from_nanos(1_000), 0)
@@ -1093,12 +922,12 @@ mod tests {
         assert!(net.node_dead(0, SimTime::from_nanos(9_999)));
         assert!(!net.node_dead(0, SimTime::from_micros(10)), "reboot heals");
         // In flight across the crash instant: lost at the dead NIC.
-        match net.send_faulted(SimTime::ZERO, 7, 0, 4_096) {
+        match net.send(SimTime::ZERO, 7, 0, 4_096) {
             SendOutcome::Dropped { reason, .. } => assert_eq!(reason, DropReason::DestDead),
             other => panic!("expected a dest-dead drop, got {other:?}"),
         }
         // A dead node cannot send mid-outage...
-        let mid = net.send_faulted(SimTime::from_micros(5), 0, 7, 64);
+        let mid = net.send(SimTime::from_micros(5), 0, 7, 64);
         assert!(matches!(
             mid,
             SendOutcome::Dropped {
@@ -1108,11 +937,11 @@ mod tests {
         ));
         // ...but both directions work again after the reboot.
         assert!(matches!(
-            net.send_faulted(SimTime::from_micros(10), 0, 7, 64),
+            net.send(SimTime::from_micros(10), 0, 7, 64),
             SendOutcome::Delivered(_)
         ));
         assert!(matches!(
-            net.send_faulted(SimTime::from_micros(12), 7, 0, 64),
+            net.send(SimTime::from_micros(12), 7, 0, 64),
             SendOutcome::Delivered(_)
         ));
     }
@@ -1126,11 +955,11 @@ mod tests {
         );
         let mut net = Network::with_faults(NetworkConfig::default(), 8, &plan);
         assert!(matches!(
-            net.send_faulted(SimTime::from_micros(5), 3, 0, 64),
+            net.send(SimTime::from_micros(5), 3, 0, 64),
             SendOutcome::Delivered(_)
         ));
         assert_eq!(
-            net.send_faulted(SimTime::from_micros(15), 3, 0, 64),
+            net.send(SimTime::from_micros(15), 3, 0, 64),
             SendOutcome::Dropped {
                 at: SimTime::from_micros(15),
                 reason: DropReason::Partitioned
@@ -1138,12 +967,12 @@ mod tests {
         );
         // The cut is directed: the reverse pair still flows.
         assert!(matches!(
-            net.send_faulted(SimTime::from_micros(15), 0, 3, 64),
+            net.send(SimTime::from_micros(15), 0, 3, 64),
             SendOutcome::Delivered(_)
         ));
         // After the heal instant the pair flows again.
         assert!(matches!(
-            net.send_faulted(SimTime::from_micros(20), 3, 0, 64),
+            net.send(SimTime::from_micros(20), 3, 0, 64),
             SendOutcome::Delivered(_)
         ));
         assert_eq!(net.counters().dropped, 1);
@@ -1162,7 +991,7 @@ mod tests {
             let mut flips = Vec::new();
             for i in 0..200u32 {
                 let src = 1 + (i % 31);
-                match net.send_faulted(t, src, 0, 256) {
+                match net.send(t, src, 0, 256) {
                     SendOutcome::Delivered(d) => {
                         t = d.at;
                         flips.push(d.corrupt);
@@ -1197,7 +1026,7 @@ mod tests {
             let mut lost = Vec::new();
             for i in 0..200u32 {
                 let src = 1 + (i % 31);
-                match net.send_faulted(t, src, 0, 256) {
+                match net.send(t, src, 0, 256) {
                     SendOutcome::Delivered(d) => {
                         t = d.at;
                         lost.push(false);

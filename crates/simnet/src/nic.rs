@@ -152,10 +152,6 @@ pub struct Nic {
     tx_busy: SimTime,
     rx_busy: SimTime,
     streams: StreamTable,
-    stream_misses: u64,
-    rx_messages: u64,
-    tx_messages: u64,
-    dead: bool,
 }
 
 impl Nic {
@@ -165,30 +161,7 @@ impl Nic {
             tx_busy: SimTime::ZERO,
             rx_busy: SimTime::ZERO,
             streams: StreamTable::new(stream_contexts),
-            stream_misses: 0,
-            rx_messages: 0,
-            tx_messages: 0,
-            dead: false,
         }
-    }
-
-    /// Marks the NIC as dead (its node crashed). A dead NIC neither
-    /// transmits nor receives; the network drops traffic touching it.
-    pub fn kill(&mut self) {
-        self.dead = true;
-    }
-
-    /// Clears the dead flag (its node rebooted). The stream table, engine
-    /// horizons and counters deliberately survive: the simulated hardware
-    /// epoch is the network's, and the time-based drop decisions — not
-    /// this flag — decide what a dead node loses.
-    pub fn revive(&mut self) {
-        self.dead = false;
-    }
-
-    /// Whether the NIC's node has crashed.
-    pub fn is_dead(&self) -> bool {
-        self.dead
     }
 
     /// Reserves the transmit engine from `earliest` for `overhead` software
@@ -203,7 +176,6 @@ impl Nic {
         let start = earliest.max(self.tx_busy);
         let done = start + overhead + injection;
         self.tx_busy = done;
-        self.tx_messages += 1;
         done
     }
 
@@ -212,7 +184,8 @@ impl Nic {
     /// stream table missed.
     ///
     /// `base` is the per-message fast-path cost, `drain` the DMA
-    /// serialisation for the payload and `miss_penalty` the BEER slow path
+    /// serialisation for the payload (for a coalesced envelope, also its
+    /// per-member unpack cost) and `miss_penalty` the BEER slow path
     /// charged when `src` is not resident.
     pub fn reserve_rx(
         &mut self,
@@ -226,44 +199,10 @@ impl Nic {
         let mut cost = base + drain;
         if !hit {
             cost += miss_penalty;
-            self.stream_misses += 1;
         }
         let start = arrival.max(self.rx_busy);
         let done = start + cost;
         self.rx_busy = done;
-        self.rx_messages += 1;
-        (done, !hit)
-    }
-
-    /// Reserves the receive engine for a coalesced envelope from node
-    /// `src`; returns the delivery completion time and whether the stream
-    /// table missed.
-    ///
-    /// One envelope is one message to the NIC: a single stream-table touch,
-    /// one `base` fast-path charge, one `drain` for the combined payload,
-    /// plus `unpack_total` demultiplexing (the per-member unpack cost summed
-    /// over every member beyond the first). This is where coalescing wins at
-    /// a hot receiver — `n` singles would pay `base` (and risk a BEER miss)
-    /// `n` times.
-    pub fn reserve_rx_envelope(
-        &mut self,
-        src: u32,
-        arrival: SimTime,
-        base: SimTime,
-        drain: SimTime,
-        miss_penalty: SimTime,
-        unpack_total: SimTime,
-    ) -> (SimTime, bool) {
-        let hit = self.streams.touch(src);
-        let mut cost = base + drain + unpack_total;
-        if !hit {
-            cost += miss_penalty;
-            self.stream_misses += 1;
-        }
-        let start = arrival.max(self.rx_busy);
-        let done = start + cost;
-        self.rx_busy = done;
-        self.rx_messages += 1;
         (done, !hit)
     }
 
@@ -275,21 +214,6 @@ impl Nic {
     /// Time at which the receive engine frees up.
     pub fn rx_busy_until(&self) -> SimTime {
         self.rx_busy
-    }
-
-    /// Number of BEER slow-path events taken so far.
-    pub fn stream_misses(&self) -> u64 {
-        self.stream_misses
-    }
-
-    /// Messages received.
-    pub fn rx_messages(&self) -> u64 {
-        self.rx_messages
-    }
-
-    /// Messages transmitted.
-    pub fn tx_messages(&self) -> u64 {
-        self.tx_messages
     }
 }
 
@@ -375,16 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn nic_starts_alive_and_stays_dead_once_killed() {
-        let mut nic = Nic::new(4);
-        assert!(!nic.is_dead());
-        nic.kill();
-        assert!(nic.is_dead());
-        nic.kill();
-        assert!(nic.is_dead());
-    }
-
-    #[test]
     fn tx_serialises_messages() {
         let mut nic = Nic::new(8);
         let a = nic.reserve_tx(
@@ -399,7 +313,6 @@ mod tests {
         );
         assert_eq!(a, SimTime::from_nanos(100));
         assert_eq!(b, SimTime::from_nanos(200));
-        assert_eq!(nic.tx_messages(), 2);
     }
 
     #[test]
@@ -423,25 +336,6 @@ mod tests {
         );
         assert!(!missed);
         assert_eq!(done, SimTime::from_nanos(120));
-        assert_eq!(nic.stream_misses(), 1);
-        assert_eq!(nic.rx_messages(), 2);
-    }
-
-    #[test]
-    fn rx_envelope_charges_base_once_and_unpack_per_extra_member() {
-        let mut nic = Nic::new(8);
-        nic.reserve_rx_envelope(
-            3,
-            SimTime::ZERO,
-            SimTime::from_nanos(100),
-            SimTime::from_nanos(50),
-            SimTime::ZERO,
-            // 4 members: 3 × unpack 10
-            SimTime::from_nanos(30),
-        );
-        // base 100 + drain 50 + 3 × unpack 10
-        assert_eq!(nic.rx_busy_until(), SimTime::from_nanos(180));
-        assert_eq!(nic.rx_messages(), 1);
     }
 
     #[test]
